@@ -102,12 +102,13 @@
 //!    position by *different* prefixes is still re-expanded per prefix.
 //! 3. **Fused frontiers** ([`frontier`]; `fuse_probes = true`, the
 //!    default) — the whole query runs as one level-synchronous weighted
-//!    sweep over the trie, expanding each distinct `(node, trie
-//!    position)` at most once. Deterministic math is equivalent up to
-//!    floating-point association; randomized draws get a
-//!    weight-proportional trial budget so unbiasedness and concentration
-//!    are preserved. [`QueryStats::frontier_merges`] counts the
-//!    expansions tier 2 would have repeated.
+//!    sweep over the trie: sibling groups expand into one shared run
+//!    accumulator, which is pruned as it is flushed, so each distinct
+//!    `(node, sibling group)` is expanded at most once. Deterministic
+//!    math is equivalent up to floating-point association; randomized
+//!    draws get a weight-proportional trial budget so unbiasedness and
+//!    concentration are preserved. [`QueryStats::frontier_merges`]
+//!    counts the contributions the run accumulators deduplicated.
 //!
 //! Tier 3 helps most on probe-heavy workloads — locally dense graphs,
 //! tight `εa` (many walks → heavy prefix sharing), long walks — where the

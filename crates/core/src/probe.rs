@@ -117,10 +117,8 @@ pub fn deterministic<G: GraphView, A: ScoreSink + ?Sized>(
 /// One deterministic frontier expansion: `H_{j+1}[v] += √c/|I(v)| · H_j[x]`
 /// for every out-edge `x → v` with `v ≠ avoid`.
 ///
-/// This is the shared deterministic emission site: the per-prefix probes
-/// drive it with a single probe's frontier, the fused engine
-/// ([`crate::frontier`]) with a weight-merged multi-probe frontier —
-/// linearity of the recurrence makes the two uses interchangeable.
+/// This is the per-prefix probes' view of [`expand_deterministic`], the
+/// shared deterministic emission site.
 #[inline]
 pub(crate) fn expand_level_deterministic<G: GraphView>(
     graph: &G,
@@ -130,8 +128,30 @@ pub(crate) fn expand_level_deterministic<G: GraphView>(
     next: &mut LevelBuf,
     stats: &mut QueryStats,
 ) {
-    for &x in current.nodes() {
-        let score_x = current.get(x);
+    let frontier = current.nodes().iter().map(|&x| (x, current.get(x)));
+    expand_deterministic(graph, sqrt_c, avoid, frontier, next, stats);
+}
+
+/// The shared deterministic emission site: adds `√c/|I(v)| · H[x]` into
+/// `next` for every `(x, H[x])` of `frontier` with a positive score and
+/// every out-edge `x → v` with `v ≠ avoid`, returning how many
+/// contributions it added.
+///
+/// The per-prefix probes drive it with a single probe's frontier, the
+/// fused engine ([`crate::frontier`]) with a stored weight-merged group
+/// span, adding straight into the run accumulator — linearity of the
+/// recurrence makes the two uses interchangeable.
+#[inline]
+pub(crate) fn expand_deterministic<G: GraphView, I: IntoIterator<Item = (NodeId, f64)>>(
+    graph: &G,
+    sqrt_c: f64,
+    avoid: NodeId,
+    frontier: I,
+    next: &mut LevelBuf,
+    stats: &mut QueryStats,
+) -> usize {
+    let mut added = 0usize;
+    for (x, score_x) in frontier {
         if score_x <= 0.0 {
             continue;
         }
@@ -142,38 +162,45 @@ pub(crate) fn expand_level_deterministic<G: GraphView>(
             }
             let contribution = sqrt_c / graph.in_degree(v) as f64 * score_x;
             next.add(v, contribution);
+            added += 1;
         }
     }
+    added
 }
 
-/// The parallel twin of [`expand_level_deterministic`], used by the
-/// fused sweep when [`crate::workspace::SweepPolicy`] arms it.
+/// The parallel twin of [`expand_deterministic`] over a fused group span
+/// (parallel `nodes`/`weights` lanes), used by the fused sweep when
+/// [`crate::workspace::SweepPolicy`] arms it.
 ///
-/// The frontier's node list is cut into fixed-width chunks
+/// The span is cut into fixed-width chunks
 /// ([`crate::par::chunked_ranges`]); each worker records its raw
 /// `(target, delta)` contributions **in emission order** into private
 /// struct-of-arrays shards, and the merge then replays every shard in
-/// chunk order through `next.add`. Because chunk boundaries and
-/// per-chunk emission order are exactly the sequential iteration order,
-/// the replayed add sequence *is* the sequential add sequence — same
-/// floating-point association, bit-identical `next`, identical stats —
-/// at any thread count, including 1.
-pub(crate) fn expand_level_deterministic_parallel<G: GraphView + Sync>(
+/// chunk order through `next.add` — straight into the fused sweep's run
+/// accumulator. Because chunk boundaries and per-chunk emission order
+/// are exactly the sequential iteration order, the replayed add
+/// sequence *is* the sequential add sequence — same floating-point
+/// association, bit-identical `next`, identical stats and the same
+/// returned contribution count — at any thread count, including 1.
+// The graph/avoid/lanes/sink/threads/stats list mirrors the sequential
+// twin plus the thread budget; a struct would hide which pieces mutate.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn expand_deterministic_parallel<G: GraphView + Sync>(
     graph: &G,
     sqrt_c: f64,
     avoid: NodeId,
-    current: &LevelBuf,
+    nodes: &[NodeId],
+    weights: &[f64],
     next: &mut LevelBuf,
     threads: usize,
     stats: &mut QueryStats,
-) {
-    let nodes = current.nodes();
+) -> usize {
     let shards = crate::par::chunked_ranges(nodes.len(), threads, |_, range| {
         let mut shard_nodes: Vec<NodeId> = Vec::new();
         let mut shard_deltas: Vec<f64> = Vec::new();
         let mut edges = 0usize;
-        for &x in &nodes[range] {
-            let score_x = current.get(x);
+        let lane = range.clone();
+        for (&x, &score_x) in nodes[lane].iter().zip(&weights[range]) {
             if score_x <= 0.0 {
                 continue;
             }
@@ -188,20 +215,23 @@ pub(crate) fn expand_level_deterministic_parallel<G: GraphView + Sync>(
         }
         (shard_nodes, shard_deltas, edges)
     });
+    let mut added = 0usize;
     for (shard_nodes, shard_deltas, edges) in shards {
         stats.edges_expanded += edges;
+        added += shard_nodes.len();
         for (v, delta) in shard_nodes.into_iter().zip(shard_deltas) {
             next.add(v, delta);
         }
     }
+    added
 }
 
-/// Out-degree sum of a frontier — the quantity the hybrid switch
+/// Out-degree sum of a frontier's nodes — the quantity the hybrid switch
 /// condition compares against `c0·w·n` (shared by the per-prefix hybrid
 /// and the fused engine).
 #[inline]
-pub(crate) fn frontier_out_degree_sum<G: GraphView>(graph: &G, frontier: &LevelBuf) -> usize {
-    frontier.nodes().iter().map(|&x| graph.out_degree(x)).sum()
+pub(crate) fn frontier_out_degree_sum<G: GraphView>(graph: &G, frontier: &[NodeId]) -> usize {
+    frontier.iter().map(|&x| graph.out_degree(x)).sum()
 }
 
 /// Runs the randomized PROBE (Algorithm 4) and adds `weight` to `acc[v]`
@@ -303,7 +333,7 @@ pub(crate) fn expand_level_randomized<G: GraphView, R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     let n = graph.num_nodes();
-    let out_sum = frontier_out_degree_sum(graph, current);
+    let out_sum = frontier_out_degree_sum(graph, current.nodes());
     let draws = draws.max(1);
     let mut try_candidate = |x: NodeId, rng: &mut R, stats: &mut QueryStats| {
         if x == avoid || next.contains(x) {
@@ -413,7 +443,7 @@ pub(crate) fn expand_level_randomized_parallel<G: GraphView + Sync, R: Rng + ?Si
     rng: &mut R,
 ) {
     let n = graph.num_nodes();
-    let out_sum = frontier_out_degree_sum(graph, current);
+    let out_sum = frontier_out_degree_sum(graph, current.nodes());
     let draws = draws.max(1);
     let mut candidates: Vec<NodeId> = Vec::new();
     {
@@ -543,7 +573,7 @@ pub fn hybrid<G: GraphView, A: ScoreSink + ?Sized, R: Rng + ?Sized>(
         if ws.current.is_empty() {
             return Ok(());
         }
-        let out_sum = frontier_out_degree_sum(graph, &ws.current);
+        let out_sum = frontier_out_degree_sum(graph, ws.current.nodes());
         if out_sum as f64 > switch_threshold {
             stats.hybrid_switches += 1;
             return randomized_continuations(

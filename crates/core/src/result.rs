@@ -24,9 +24,12 @@ pub struct QueryStats {
     pub nodes_sampled: usize,
     /// Distinct prefixes probed via the batch trie (0 when unbatched).
     pub trie_prefixes: usize,
-    /// Frontier entries deduplicated by the fused probe engine: each one
-    /// is a `(node, trie position)` contribution the legacy per-prefix
-    /// path would have expanded separately (0 off the fused path).
+    /// Contributions deduplicated by the fused probe engine's run
+    /// accumulators: every expansion output or sibling start mass that
+    /// landed on a node already present in its run, so the next level
+    /// expands it once instead of once per contributor (0 off the fused
+    /// path). Deterministic, equal across sequential and parallel
+    /// sweeps, and not part of [`QueryStats::total_work`].
     pub frontier_merges: usize,
     /// Level-synchronous sweeps executed by the fused probe engine
     /// (0 off the fused path).

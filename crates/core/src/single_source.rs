@@ -208,17 +208,12 @@ impl ProbeSim {
         let sqrt_c = self.config.sqrt_decay();
         let strategy = self.config.optimizations.strategy;
         let c0 = self.config.optimizations.hybrid_c0;
-        let mut walk_buf: Vec<NodeId> = Vec::with_capacity(8);
-        for _ in 0..nr {
+        // The pooled walk buffer is taken out so the probes can borrow the
+        // workspace, and handed back on every exit path.
+        let mut walk_buf = std::mem::take(&mut ws.walk_buf);
+        let result = (0..nr).try_for_each(|_| {
             ws.budget.check(stats)?;
-            walk_buf.clear();
-            walk_buf.push(u);
-            walk::extend_walk(graph, &mut walk_buf, sqrt_c, walk_cap, rng);
-            stats.walks += 1;
-            stats.walk_nodes += walk_buf.len();
-            if walk_buf.len() == walk_cap {
-                stats.truncated_walks += 1;
-            }
+            sample_walk_into(graph, u, sqrt_c, walk_cap, &mut walk_buf, stats, rng);
             for i in 2..=walk_buf.len() {
                 let path = &walk_buf[..i];
                 match strategy {
@@ -233,8 +228,10 @@ impl ProbeSim {
                     }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        });
+        ws.walk_buf = walk_buf;
+        result
     }
 
     /// Algorithm 3: insert all walks into the reverse-reachability trie,
@@ -267,25 +264,48 @@ impl ProbeSim {
         let sqrt_c = self.config.sqrt_decay();
         let strategy = self.config.optimizations.strategy;
         let c0 = self.config.optimizations.hybrid_c0;
-        let mut trie = WalkTrie::new(u);
-        let mut walk_buf: Vec<NodeId> = Vec::with_capacity(8);
-        for _ in 0..nr {
+        // The pooled trie and walk buffer are taken out so the probes can
+        // borrow the workspace, and handed back on every exit path.
+        let mut trie = ws.trie.take().unwrap_or_else(|| WalkTrie::new(u));
+        trie.reset(u);
+        let mut walk_buf = std::mem::take(&mut ws.walk_buf);
+        let sampled = (0..nr).try_for_each(|_| {
             ws.budget.check(stats)?;
-            walk_buf.clear();
-            walk_buf.push(u);
-            walk::extend_walk(graph, &mut walk_buf, sqrt_c, walk_cap, rng);
-            stats.walks += 1;
-            stats.walk_nodes += walk_buf.len();
-            if walk_buf.len() == walk_cap {
-                stats.truncated_walks += 1;
-            }
+            sample_walk_into(graph, u, sqrt_c, walk_cap, &mut walk_buf, stats, rng);
             trie.insert(&walk_buf);
-        }
-        if self.config.optimizations.fuse_probes {
-            return crate::frontier::run_fused(
-                graph, &trie, nr, params, strategy, c0, ws, acc, stats, rng,
-            );
-        }
+            Ok(())
+        });
+        ws.walk_buf = walk_buf;
+        let result = sampled.and_then(|()| {
+            if self.config.optimizations.fuse_probes {
+                crate::frontier::run_fused(
+                    graph, &trie, nr, params, strategy, c0, ws, acc, stats, rng,
+                )
+            } else {
+                self.probe_each_prefix(graph, &trie, nr, params, ws, acc, stats, rng)
+            }
+        });
+        ws.trie = Some(trie);
+        result
+    }
+
+    /// The legacy per-prefix tier of [`ProbeSim::run_batched`]: every
+    /// distinct trie prefix is probed on its own with weight `w/nr`.
+    // Same flat parameter list as run_batched, same borrow-split reason.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_each_prefix<G: GraphView, A: ScoreSink + ?Sized, R: Rng>(
+        &self,
+        graph: &G,
+        trie: &WalkTrie,
+        nr: usize,
+        params: &ProbeParams,
+        ws: &mut ProbeWorkspace,
+        acc: &mut A,
+        stats: &mut QueryStats,
+        rng: &mut R,
+    ) -> Result<(), BudgetExceeded> {
+        let strategy = self.config.optimizations.strategy;
+        let c0 = self.config.optimizations.hybrid_c0;
         let inv_nr = 1.0 / nr as f64;
         trie.try_for_each_prefix(|path, w| {
             stats.trie_prefixes += 1;
@@ -309,6 +329,27 @@ impl ProbeSim {
             }
             Ok(())
         })
+    }
+}
+
+/// Samples one √c-walk from `u` into the reused `walk_buf` and counts it
+/// in `stats` — the walk stage both query drivers share.
+fn sample_walk_into<G: GraphView, R: Rng>(
+    graph: &G,
+    u: NodeId,
+    sqrt_c: f64,
+    walk_cap: usize,
+    walk_buf: &mut Vec<NodeId>,
+    stats: &mut QueryStats,
+    rng: &mut R,
+) {
+    walk_buf.clear();
+    walk_buf.push(u);
+    walk::extend_walk(graph, walk_buf, sqrt_c, walk_cap, rng);
+    stats.walks += 1;
+    stats.walk_nodes += walk_buf.len();
+    if walk_buf.len() == walk_cap {
+        stats.truncated_walks += 1;
     }
 }
 

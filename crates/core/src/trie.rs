@@ -64,6 +64,21 @@ impl WalkTrie {
         }
     }
 
+    /// Empties the trie and re-roots it at `u`, keeping its capacity: the
+    /// result is indistinguishable from [`WalkTrie::new`]`(u)` (same
+    /// node numbering for the same inserts), without the allocation.
+    pub fn reset(&mut self, u: NodeId) {
+        self.nodes.clear();
+        self.nodes.push(TrieNode {
+            vertex: u,
+            weight: 0,
+            first_child: None,
+            next_sibling: None,
+            last_child: None,
+        });
+        self.last_path.clear();
+    }
+
     /// Number of trie nodes (== distinct walk prefixes, including the
     /// root).
     pub fn len(&self) -> usize {
@@ -506,6 +521,28 @@ mod tests {
             assert!(parent < node, "BFS parents precede children");
             let _ = (t.vertex(node), t.weight(node), t.vertex(parent));
         }
+    }
+
+    #[test]
+    fn reset_trie_rebuilds_exactly_like_a_fresh_one() {
+        let walks: [&[NodeId]; 4] = [&[0, 1, 2, 3], &[0, 4], &[0, 1, 5], &[0, 4, 2]];
+        let mut reused = WalkTrie::new(9);
+        reused.insert(&[9, 8, 7]);
+        reused.insert(&[9, 6]);
+        reused.reset(0);
+        assert!(reused.is_empty());
+        assert_eq!(reused.total_walks(), 0);
+        let mut fresh = WalkTrie::new(0);
+        for walk in walks {
+            reused.insert(walk);
+            fresh.insert(walk);
+        }
+        assert_eq!(reused.len(), fresh.len());
+        for idx in 0..fresh.len() as TrieIndex {
+            assert_eq!(reused.vertex(idx), fresh.vertex(idx), "node {idx}");
+            assert_eq!(reused.weight(idx), fresh.weight(idx), "node {idx}");
+        }
+        assert_eq!(collect(&reused), collect(&fresh));
     }
 
     #[test]

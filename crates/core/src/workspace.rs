@@ -11,6 +11,7 @@
 use probesim_graph::NodeId;
 
 use crate::budget::ProbeBudget;
+use crate::trie::WalkTrie;
 
 /// One frontier level: a sparse set of nodes with f64 scores backed by
 /// dense arrays.
@@ -31,6 +32,15 @@ impl LevelBuf {
             version: 0,
             nodes: Vec::new(),
         }
+    }
+
+    /// Clears the buffer, first growing it to cover node ids `0..n` if it
+    /// does not yet (the one allocation of a lazily sized buffer).
+    pub fn clear_for(&mut self, n: usize) {
+        if self.score.len() < n {
+            *self = LevelBuf::new(n);
+        }
+        self.clear();
     }
 
     /// Removes all entries in O(1) amortized (version bump).
@@ -122,29 +132,35 @@ impl LevelBuf {
     }
 }
 
-/// Pooled storage for the fused probe engine's per-trie-node frontiers
+/// Pooled storage for the fused probe engine's group inputs
 /// ([`crate::frontier`]).
 ///
-/// A fused sweep stores one weighted frontier per trie node: the mass
-/// that has propagated down to that trie position. Frontiers are spans
-/// in one flat arena, indexed per trie node (`spans`), plus the
+/// A fused sweep stores **one span per sibling group**: the merged,
+/// already-pruned input frontier of the group of trie node `q`'s
+/// children, keyed by `q`. The sweep writes it when it flushes `q`'s run
+/// (the arrival mass of every grandchild group plus each child's own
+/// start mass) and reads it once, when the next shallower level expands
+/// that group. Only pruning survivors are stored, so the arena holds
+/// what the sweep will actually expand — not every trie position's
+/// unpruned arrival frontier.
+///
+/// Spans live in one flat arena indexed by `spans`, next to the
 /// BFS-cursor scratch buffers ([`crate::trie::WalkTrie::bfs_levels`]
 /// fills them). Storage is struct-of-arrays: node ids (`u32`) and
-/// weights (`f64`) live in separate lanes so the merge loop streams a
-/// dense 4-byte id lane instead of 16-byte padded tuples — half the
-/// cache traffic on the id side, and the weight lane stays naturally
-/// aligned. Everything is `clear()`-reused: after the first few queries
-/// warm the capacities up, a query performs **zero heap allocation**
-/// here — the same pooling contract as [`LevelBuf`] and the session's
-/// sparse accumulator.
+/// weights (`f64`) live in separate lanes, so the expansion loop streams
+/// a dense 4-byte id lane and an aligned weight lane. Everything is
+/// `clear()`-reused: after the first few queries warm the capacities up,
+/// a query performs **zero heap allocation** here — the same pooling
+/// contract as [`LevelBuf`] and the session's sparse accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct FrontierArena {
-    /// Node-id lane of the flat frontier storage; each trie node's
-    /// frontier is a contiguous span, parallel to `entry_weights`.
+    /// Node-id lane of the flat span storage; each group input is a
+    /// contiguous span, parallel to `entry_weights`.
     entry_nodes: Vec<NodeId>,
     /// Weight lane, parallel to `entry_nodes`.
     entry_weights: Vec<f64>,
-    /// Per trie node: `(offset, len)` into the entry lanes.
+    /// Per trie node `q`: `(offset, len)` of the input span of the group
+    /// of `q`'s children.
     spans: Vec<(usize, usize)>,
     /// BFS cursor scratch: trie nodes in level order (node lane,
     /// parallel to `order_parents`).
@@ -170,29 +186,30 @@ impl FrontierArena {
         self.spans.resize(trie_len, (0, 0));
     }
 
-    /// The stored frontier of trie node `idx` as parallel node/weight
-    /// lanes (both empty until stored).
+    /// The stored input of the group of trie node `parent`'s children as
+    /// parallel node/weight lanes (both empty until stored).
     #[inline]
-    pub fn span(&self, idx: u32) -> (&[NodeId], &[f64]) {
-        let (offset, len) = self.spans[idx as usize];
+    pub fn span(&self, parent: u32) -> (&[NodeId], &[f64]) {
+        let (offset, len) = self.spans[parent as usize];
         (
             &self.entry_nodes[offset..offset + len],
             &self.entry_weights[offset..offset + len],
         )
     }
 
-    /// Stores `level`'s positive entries (in insertion order) as the
-    /// frontier of trie node `idx`.
-    pub fn store(&mut self, idx: u32, level: &LevelBuf) {
+    /// Stores the entries of `level` whose score passes `keep` (in
+    /// insertion order) as the input of the group of trie node
+    /// `parent`'s children, replacing any earlier span of `parent`.
+    pub fn store<F: FnMut(f64) -> bool>(&mut self, parent: u32, level: &LevelBuf, mut keep: F) {
         let offset = self.entry_nodes.len();
         for &v in level.nodes() {
             let score = level.get(v);
-            if score > 0.0 {
+            if keep(score) {
                 self.entry_nodes.push(v);
                 self.entry_weights.push(score);
             }
         }
-        self.spans[idx as usize] = (offset, self.entry_nodes.len() - offset);
+        self.spans[parent as usize] = (offset, self.entry_nodes.len() - offset);
     }
 }
 
@@ -229,16 +246,29 @@ impl Default for SweepPolicy {
     }
 }
 
-/// Double-buffered frontier pair for a probe traversal.
+/// Double-buffered frontier pair for a probe traversal, plus the pooled
+/// scratch of the batched and fused drivers.
 #[derive(Debug, Clone)]
 pub struct ProbeWorkspace {
     /// Current level `H_j`.
     pub current: LevelBuf,
-    /// Next level `H_{j+1}`.
+    /// Next level `H_{j+1}`; the fused sweep's run accumulator.
     pub next: LevelBuf,
-    /// Per-trie-node frontier slabs for the fused probe engine; empty
-    /// (and allocation-free) while only the per-prefix paths run.
+    /// A private, empty-between-uses output level for the fused sweep's
+    /// randomized group expansions: they dedup candidates by membership,
+    /// so they must not expand into the shared run accumulator. Sized on
+    /// its first use, so workspaces that never expand a randomized group
+    /// never allocate it.
+    pub private: LevelBuf,
+    /// Per-group input spans for the fused probe engine; empty (and
+    /// allocation-free) while only the per-prefix paths run.
     pub frontier: FrontierArena,
+    /// The batched driver's pooled walk trie, rebuilt in place per query
+    /// ([`WalkTrie::reset`]); `None` until the first batched query.
+    pub trie: Option<WalkTrie>,
+    /// The walk drivers' pooled walk buffer (one allocation across all
+    /// `nr` walks of every query).
+    pub walk_buf: Vec<NodeId>,
     /// The active query's cancellation budget, checked by the probe
     /// engines between expansions. Unlimited unless the caller armed one
     /// (`QuerySession::run_with_budget`); carrying it here keeps the
@@ -260,17 +290,23 @@ impl ProbeWorkspace {
         ProbeWorkspace {
             current: LevelBuf::new(n),
             next: LevelBuf::new(n),
+            private: LevelBuf::new(0),
             frontier: FrontierArena::new(),
+            trie: None,
+            walk_buf: Vec::new(),
             budget: ProbeBudget::unlimited(),
             sweep: SweepPolicy::sequential(),
             remap: None,
         }
     }
 
-    /// Clears both levels.
+    /// Clears every level buffer (including the fused sweep's run
+    /// accumulator and private level, which an aborted sweep can leave
+    /// dirty).
     pub fn reset(&mut self) {
         self.current.clear();
         self.next.clear();
+        self.private.clear();
     }
 
     /// Makes the freshly-built next level current and clears the old one.
@@ -336,6 +372,18 @@ mod tests {
     }
 
     #[test]
+    fn clear_for_sizes_a_lazy_buffer_once() {
+        let mut b = LevelBuf::new(0);
+        b.clear_for(4);
+        b.add(3, 0.5);
+        b.clear_for(2); // already covers 0..2: a plain clear
+        assert!(b.is_empty());
+        assert_eq!(b.score.len(), 4);
+        b.add(3, 1.0);
+        assert_eq!(b.get(3), 1.0);
+    }
+
+    #[test]
     fn workspace_advance_swaps_levels() {
         let mut ws = ProbeWorkspace::new(3);
         ws.reset();
@@ -354,12 +402,13 @@ mod tests {
         buf.clear();
         buf.add(5, 0.5);
         buf.add(2, 0.25);
-        buf.set(7, 0.0); // zeroed entries are dropped at store time
-        arena.store(1, &buf);
+        buf.set(7, 0.0); // entries failing `keep` are not stored
+        arena.store(1, &buf, |s| s > 0.0);
         assert_eq!(arena.span(1), (&[5u32, 2][..], &[0.5f64, 0.25][..]));
         buf.clear();
         buf.add(3, 1.0);
-        arena.store(2, &buf);
+        buf.add(4, 0.125);
+        arena.store(2, &buf, |s| s > 0.5);
         assert_eq!(arena.span(2), (&[3u32][..], &[1.0f64][..]));
         assert_eq!(arena.span(1), (&[5u32, 2][..], &[0.5f64, 0.25][..]));
         // A new query resets every span.

@@ -18,10 +18,19 @@
 //!   mean over independent seeds converges to exact SimRank (Table 2 of
 //!   the paper) on the toy graph.
 //!
+//! * **Run accumulator isolation**: randomized and hybrid-switched groups
+//!   expand into a private level before joining the run accumulator their
+//!   sibling groups share, so a graph node two sibling groups both reach
+//!   keeps both contributions.
+//!
 //! Plus the counter plumbing: `frontier_merges`/`levels_expanded` are
 //! nonzero exactly on the fused path and survive `run_batch`/`par_batch`
 //! stat merging.
 
+use probesim::core::frontier::run_fused;
+use probesim::core::probe::ProbeParams;
+use probesim::core::workspace::ProbeWorkspace;
+use probesim::core::WalkTrie;
 use probesim::prelude::*;
 use probesim_graph::toy::{toy_edges, toy_graph, A, TABLE2, TOY_DECAY};
 use proptest::prelude::*;
@@ -258,5 +267,67 @@ fn fused_pruned_run_stays_within_the_error_budget_of_exact() {
             "node {v} lost {} > budgeted {loss_bound}",
             exact.scores[v] - pruned.scores[v]
         );
+    }
+}
+
+/// One fused sweep of `trie` with pruning off, returning the dense scores.
+fn fused_scores(graph: &CsrGraph, trie: &WalkTrie, nr: usize, strategy: ProbeStrategy) -> Vec<f64> {
+    let params = ProbeParams {
+        sqrt_c: 0.6f64.sqrt(),
+        epsilon_p: 0.0,
+    };
+    let mut ws = ProbeWorkspace::new(graph.num_nodes());
+    let mut acc = vec![0.0; graph.num_nodes()];
+    let mut stats = QueryStats::default();
+    let mut rng = StdRng::seed_from_u64(3);
+    run_fused(
+        graph, trie, nr, &params, strategy, 0.0, &mut ws, &mut acc, &mut stats, &mut rng,
+    )
+    .unwrap();
+    acc
+}
+
+#[test]
+fn randomized_sibling_groups_keep_a_shared_arrival_node() {
+    // u ← a ← z and u ← b ← z: the groups under trie nodes (u,a) and
+    // (u,b) are siblings of one run, and both expand z into x (z → x)
+    // and into the other's parent vertex. Every candidate's in-degree is
+    // at most 3, below every draw budget (8 and 16 walks per group), so
+    // the Rao–Blackwell shortcut makes the randomized expansion exact:
+    // a randomized group that expanded into the shared run accumulator
+    // would find x (and a) already present, skip them as processed, and
+    // drop their mass.
+    let (u, a, b, z, x, y) = (0, 1, 2, 3, 4, 5);
+    let graph = CsrGraph::from_edges(
+        6,
+        &[
+            (a, u),
+            (b, u),
+            (z, a),
+            (z, b),
+            (z, x),
+            (a, y),
+            (b, y),
+            (x, y),
+        ],
+    );
+    let mut trie = WalkTrie::new(u);
+    for _ in 0..8 {
+        trie.insert(&[u, a, z]);
+        trie.insert(&[u, b, z]);
+    }
+    let deterministic = fused_scores(&graph, &trie, 16, ProbeStrategy::Deterministic);
+    assert!(deterministic[y as usize] > 0.0, "y collects a, b and x");
+    // Hybrid with c0 = 0 switches every group to the randomized branch.
+    for strategy in [ProbeStrategy::Randomized, ProbeStrategy::Hybrid] {
+        let sampled = fused_scores(&graph, &trie, 16, strategy);
+        for v in 0..graph.num_nodes() {
+            assert!(
+                (sampled[v] - deterministic[v]).abs() < 1e-12,
+                "{strategy:?} node {v}: {} vs deterministic {}",
+                sampled[v],
+                deterministic[v]
+            );
+        }
     }
 }
